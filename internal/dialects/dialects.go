@@ -68,16 +68,6 @@ var (
 			linalg.Specs(),
 		)
 	})
-	// Shared program caches for the compiled execution engine, one per
-	// registry: difftest runs every generated module once per build
-	// configuration plus the reference run, and each of those reuses
-	// the compiled artifact instead of re-walking the module.
-	sourceProgramCache = sync.OnceValue(func() *interp.ProgramCache {
-		return interp.NewProgramCache(0)
-	})
-	executorProgramCache = sync.OnceValue(func() *interp.ProgramCache {
-		return interp.NewProgramCache(0)
-	})
 	allSpecs = sync.OnceValue(func() verify.Registry {
 		internal := verify.Registry{
 			"ratte.generate_into": {NumRegions: 1},
@@ -123,57 +113,38 @@ func ExecutorRegistry() *interp.Registry { return executorRegistry() }
 // NewReferenceInterpreter builds the reference interpreter over the
 // source dialects — the validated semantics the paper ships as an
 // independent artifact. The underlying kernel registry is memoized, so
-// this is cheap to call per program or per worker. It tree-walks: this
-// is the interpreter whose Context also serves as the generator's
-// incremental-semantics engine, where modules are evaluated exactly
-// once and compilation would be wasted work.
+// this is cheap to call per program or per worker. Its Context also
+// serves as the generator's incremental-semantics engine.
 func NewReferenceInterpreter() *interp.Interpreter {
 	return sourceRegistry().NewInterpreter()
-}
-
-// NewCompiledReferenceInterpreter builds the reference interpreter with
-// the compiled execution engine and the shared source-level program
-// cache — for callers that run whole modules repeatedly (UB-free
-// classification, corpus replay) rather than evaluating incrementally.
-func NewCompiledReferenceInterpreter() *interp.Interpreter {
-	in := sourceRegistry().NewInterpreter()
-	in.Compiled = true
-	in.Cache = sourceProgramCache()
-	return in
 }
 
 // NewExecutor builds the executor for fully- or partially-lowered
 // modules: every dialect is available, so pipelines may stop at any
 // level (this mirrors mlir-cpu-runner accepting mixed modules as long
 // as each op has a registered lowering or runtime implementation). The
-// underlying kernel registry is memoized and the compiled execution
-// engine is on by default, sharing one program cache across all
-// executors — the difftest hot loop runs each lowered module through
-// a compiled artifact instead of tree-walking it.
+// underlying kernel registry is memoized.
 func NewExecutor() *interp.Interpreter {
-	in := executorRegistry().NewInterpreter()
-	in.Compiled = true
-	in.Cache = executorProgramCache()
-	return in
-}
-
-// SourceProgramCache returns the shared compiled-program cache of the
-// source-level registry (the reference interpreter's). Exposed so
-// telemetry can export its hit/miss/eviction counters and so the
-// admission-policy tests can observe caching decisions.
-func SourceProgramCache() *interp.ProgramCache { return sourceProgramCache() }
-
-// ExecutorProgramCache returns the shared compiled-program cache of
-// the full executor registry (the campaign hot loop's).
-func ExecutorProgramCache() *interp.ProgramCache { return executorProgramCache() }
-
-// NewTreeWalkingExecutor builds the executor without the compiled
-// engine. The conformance harness uses it as the independent side of
-// the interp-engine-agreement oracle; it is also the escape hatch if a
-// compiled-engine defect ever needs to be ruled out in the field.
-func NewTreeWalkingExecutor() *interp.Interpreter {
 	return executorRegistry().NewInterpreter()
 }
+
+// programCache is the one cache both deprecated accessors return.
+var programCache interp.ProgramCache
+
+// NewCompiledReferenceInterpreter returns NewReferenceInterpreter().
+//
+// Deprecated: kept so perfbench builds; remove in the next benchmark change.
+func NewCompiledReferenceInterpreter() *interp.Interpreter { return NewReferenceInterpreter() }
+
+// SourceProgramCache returns a cache whose counters read zero.
+//
+// Deprecated: kept so perfbench builds; remove in the next benchmark change.
+func SourceProgramCache() *interp.ProgramCache { return &programCache }
+
+// ExecutorProgramCache returns a cache whose counters read zero.
+//
+// Deprecated: kept so perfbench builds; remove in the next benchmark change.
+func ExecutorProgramCache() *interp.ProgramCache { return &programCache }
 
 // SourceSpecs returns the static verification rules of the source
 // dialects — the frontend verifier. The registry is memoized and

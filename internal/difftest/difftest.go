@@ -213,12 +213,11 @@ type CampaignConfig struct {
 	// the classic per-seed campaign runs.
 	FamilySize int
 	// Batched selects the shared-work execution strategy for family
-	// mode: one verify, one pass-pipeline compilation per build
-	// configuration and one interp.Compile per compiled configuration
-	// for the whole family, with members run through RunProgramArgs.
-	// Batched is purely an execution strategy — verdicts, journals and
-	// ReportText are byte-identical with it on or off — and has no
-	// effect outside family mode.
+	// mode: one verify and one pass-pipeline compilation per build
+	// configuration for the whole family, with every member run on the
+	// shared lowered modules. Batched is purely an execution strategy —
+	// verdicts, journals and ReportText are byte-identical with it on
+	// or off — and has no effect outside family mode.
 	Batched bool
 	// Telemetry, when non-nil, receives stage spans, verdict counters,
 	// generator coverage and cache/journal gauges as the campaign runs
@@ -432,10 +431,7 @@ func Classify(m *ir.Module, preset string) Classification {
 	if !cl.Compiled {
 		return cl
 	}
-	// The compiled reference interpreter: Classify is called in bulk
-	// (the §4.2 measurement classifies thousands of modules) and the
-	// UB-free run is its hot half.
-	in := dialects.NewCompiledReferenceInterpreter()
+	in := dialects.NewReferenceInterpreter()
 	in.MaxSteps = 2_000_000
 	if _, err := in.Run(m, "main"); err == nil {
 		cl.UBFree = true

@@ -7,9 +7,9 @@
 // argument vector — member 0 on the original constants, later members
 // on deterministically mutated ones. Batched execution (Batched=true)
 // then shares everything that depends only on the module across the
-// family: one verify, one pass-pipeline compilation per configuration,
-// and one interp.Compile per compiled configuration, with members run
-// through Interpreter.RunProgramArgs. The unbatched strategy runs the
+// family: one verify and one pass-pipeline compilation per
+// configuration, with every member run on the shared lowered modules
+// through Interpreter.RunArgs. The unbatched strategy runs the
 // identical members through the full per-member pipeline and is the
 // yardstick: verdicts, journals and ReportText are byte-identical
 // between the two strategies, which the determinism tests and the CI
@@ -24,7 +24,6 @@ import (
 	"ratte/internal/compiler"
 	"ratte/internal/dialects"
 	"ratte/internal/gen"
-	"ratte/internal/interp"
 	"ratte/internal/ir"
 	"ratte/internal/rtval"
 	"ratte/internal/verify"
@@ -207,7 +206,7 @@ func runFamily(ctx context.Context, cfg *CampaignConfig, baseSeed int64, count i
 		var refErr error
 		t0 := cfg.Telemetry.stageStart()
 		sf := guard(StageReference, mem.seed, pm, func() {
-			in := dialects.NewCompiledReferenceInterpreter()
+			in := dialects.NewReferenceInterpreter()
 			in.MaxSteps = familyMaxSteps
 			res, err := in.RunArgs(pm, "main", mem.args)
 			if err != nil {
@@ -294,9 +293,8 @@ func rejectionReport(cfg *CampaignConfig, mem *famMember, verr error) *Report {
 }
 
 // runFamilyBatched is the shared-work strategy: verify once, compile
-// the pass pipeline once per configuration, compile each configuration
-// to a CompiledProgram once, and run every member through
-// RunProgramArgs. Failure replication keeps member verdicts identical
+// the pass pipeline once per configuration, and run every member on
+// the lowered modules through RunArgs. Failure replication keeps member verdicts identical
 // to the unbatched strategy: a deterministic panic in a shared stage
 // would hit every member's private run of that stage too, so every
 // live member records the same contained failure.
@@ -344,11 +342,7 @@ func runFamilyBatched(ctx context.Context, cfg *CampaignConfig, pm *ir.Module, m
 		return
 	}
 
-	// Interpret: one CompiledProgram per configuration, compiled lazily
-	// inside the first live member's guard (so a deterministic compile
-	// panic lands on each member exactly as it would unbatched), then
-	// reused by every later member.
-	progs := make([]*interp.CompiledProgram, len(BuildConfigs))
+	// Interpret every member on the shared lowered modules.
 	for j := range members {
 		mem := &members[j]
 		if mem.done {
@@ -371,13 +365,10 @@ func runFamilyBatched(ctx context.Context, cfg *CampaignConfig, pm *ir.Module, m
 				if cres[i].Err != nil {
 					lr.CompileErr = cres[i].Err
 				} else {
-					if progs[i] == nil {
-						progs[i] = interp.Compile(dialects.ExecutorRegistry(), cres[i].Module)
-					}
 					ex := dialects.NewExecutor()
 					ex.MaxSteps = familyMaxSteps
 					ex.Metrics = cfg.Telemetry.interpMetrics()
-					res, err := ex.RunProgramArgs(progs[i], "main", mem.args)
+					res, err := ex.RunArgs(cres[i].Module, "main", mem.args)
 					if err != nil {
 						lr.RunErr = err
 					} else {

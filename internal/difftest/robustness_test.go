@@ -237,7 +237,7 @@ func TestFaultedCampaignDeterminism(t *testing.T) {
 // TestUnaffectedSeedsMatchFaultFreeRun: seeds where no fault fired must
 // be byte-identical to the fault-free campaign — injection must have
 // zero blast radius beyond the seeds it actually touched (in
-// particular, no poisoning through shared compiled-program caches).
+// particular, no poisoning through shared pipeline caches).
 func TestUnaffectedSeedsMatchFaultFreeRun(t *testing.T) {
 	base := difftest.CampaignConfig{
 		Preset:   "ariths",

@@ -145,14 +145,14 @@ func TestCampaignTelemetryCounters(t *testing.T) {
 	text := tel.Registry.PrometheusText()
 	for _, want := range []string{
 		"ratte_campaign_verdicts_total", "ratte_stage_latency_ns_bucket",
-		"ratte_interp_program_cache_hits", "ratte_gen_ops_total",
+		"ratte_interp_runs_total", "ratte_gen_ops_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("Prometheus export missing %s", want)
 		}
 	}
 	section := tel.ReportSection()
-	if !strings.Contains(section, "telemetry:") || !strings.Contains(section, "program cache") {
+	if !strings.Contains(section, "telemetry:") || !strings.Contains(section, "pipeline cache") {
 		t.Errorf("report section incomplete:\n%s", section)
 	}
 	line := tel.ProgressLine()

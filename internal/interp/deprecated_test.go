@@ -9,31 +9,31 @@ import (
 	"ratte/internal/ir"
 )
 
-// runBoth executes one module under the tree walker and under the
-// compiled engine (forced — interp.Compile + RunProgram bypasses the
-// payoff tiering) with identical limits, returning both outcomes.
+// runBoth executes one module through Run and through the deprecated
+// Compile + RunProgramArgs pair (which perfbench still calls) with
+// identical limits, returning both outcomes.
 func runBoth(t *testing.T, src string, maxSteps, maxDepth int) (tree, compiled *interp.Result, treeErr, compErr error) {
 	t.Helper()
 	m := mustParse(t, src)
 
-	tw := dialects.NewTreeWalkingExecutor()
+	tw := dialects.NewExecutor()
 	tw.MaxSteps = maxSteps
 	tw.MaxCallDepth = maxDepth
 	tree, treeErr = tw.Run(m, "main")
 
-	ce := dialects.NewTreeWalkingExecutor()
+	ce := dialects.NewExecutor()
 	ce.MaxSteps = maxSteps
 	ce.MaxCallDepth = maxDepth
 	prog := interp.Compile(dialects.ExecutorRegistry(), m)
-	compiled, compErr = ce.RunProgram(prog, "main")
+	compiled, compErr = ce.RunProgramArgs(prog, "main", nil)
 	return tree, compiled, treeErr, compErr
 }
 
-// TestCompiledErrorFidelity pins the compiled engine to the tree
-// walker's exact failure behavior: same error text, same UB/trap
-// classification, for every runtime fault the engines can hit. The
-// difftest harness compares engine results textually, so "almost the
-// same error" would read as a miscompilation.
+// TestCompiledErrorFidelity pins the interpreter's failure behaviour —
+// error text and UB/trap classification for every runtime fault — and
+// checks the deprecated Compile + RunProgramArgs path reports exactly
+// the same. The difftest harness compares results textually, so
+// "almost the same error" would read as a miscompilation.
 func TestCompiledErrorFidelity(t *testing.T) {
 	wrap := func(body string) string {
 		return `"builtin.module"() ({
@@ -122,30 +122,31 @@ func TestCompiledErrorFidelity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, _, treeErr, compErr := runBoth(t, tc.src, tc.maxSteps, tc.maxDepth)
 			if treeErr == nil {
-				t.Fatal("tree walker did not fail")
+				t.Fatal("Run did not fail")
 			}
 			if compErr == nil {
-				t.Fatalf("compiled engine did not fail (tree: %v)", treeErr)
+				t.Fatalf("RunProgramArgs did not fail (Run: %v)", treeErr)
 			}
 			if treeErr.Error() != compErr.Error() {
-				t.Errorf("error text diverges:\n  tree:     %v\n  compiled: %v", treeErr, compErr)
+				t.Errorf("error text diverges:\n  Run:            %v\n  RunProgramArgs: %v", treeErr, compErr)
 			}
 			if !strings.Contains(treeErr.Error(), tc.wantSub) {
 				t.Errorf("error %q does not mention %q", treeErr, tc.wantSub)
 			}
 			if got := interp.IsTrap(compErr); got != tc.wantTrap {
-				t.Errorf("IsTrap(compiled) = %v, want %v", got, tc.wantTrap)
+				t.Errorf("IsTrap = %v, want %v", got, tc.wantTrap)
 			}
 			if interp.IsTrap(treeErr) != interp.IsTrap(compErr) || interp.IsUB(treeErr) != interp.IsUB(compErr) {
-				t.Error("UB/trap classification diverges between engines")
+				t.Error("UB/trap classification diverges between Run and RunProgramArgs")
 			}
 		})
 	}
 }
 
-// TestCompiledResultFidelity pins the success path: byte-identical
-// Output and identical Returned values across engines, over straight
-// lines, structured loops and lowered CFGs alike.
+// TestCompiledResultFidelity pins the success path of the deprecated
+// Compile + RunProgramArgs pair: byte-identical Output and identical
+// Returned values to Run, over straight lines, structured loops and
+// lowered CFGs alike.
 func TestCompiledResultFidelity(t *testing.T) {
 	cases := []struct{ name, src string }{
 		{"straight_line", straightLineSrc(24)},
@@ -157,35 +158,15 @@ func TestCompiledResultFidelity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tree, compiled, treeErr, compErr := runBoth(t, tc.src, 0, 0)
 			if treeErr != nil || compErr != nil {
-				t.Fatalf("tree err %v, compiled err %v", treeErr, compErr)
+				t.Fatalf("Run err %v, RunProgramArgs err %v", treeErr, compErr)
 			}
 			if tree.Output != compiled.Output {
-				t.Errorf("output diverges:\n  tree:     %q\n  compiled: %q", tree.Output, compiled.Output)
+				t.Errorf("output diverges:\n  Run:            %q\n  RunProgramArgs: %q", tree.Output, compiled.Output)
 			}
 			if len(tree.Returned) != len(compiled.Returned) {
 				t.Errorf("returned %d values vs %d", len(tree.Returned), len(compiled.Returned))
 			}
 		})
-	}
-}
-
-// TestProgramCacheAdmission checks the fingerprint admission counter:
-// the first sightings of a module compile directly (misses, no entry),
-// and from the third on the text-keyed cache serves hits.
-func TestProgramCacheAdmission(t *testing.T) {
-	m := mustParse(t, straightLineSrc(8))
-	reg := dialects.ExecutorRegistry()
-	c := interp.NewProgramCache(0)
-	for i := 0; i < 5; i++ {
-		if c.Get(reg, m) == nil {
-			t.Fatal("cache returned nil program")
-		}
-	}
-	hits, misses, size := c.Stats()
-	// Sightings 1 and 2 miss by design; sighting 3 prints, misses and
-	// inserts; sightings 4 and 5 hit.
-	if hits != 2 || misses != 3 || size != 1 {
-		t.Errorf("hits=%d misses=%d size=%d, want 2/3/1", hits, misses, size)
 	}
 }
 

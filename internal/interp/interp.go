@@ -32,8 +32,7 @@ import (
 )
 
 // covInterpOp is the interpreter's coverage site family: one site per
-// executed op kind, shared by the tree walker, the compiled engine and
-// every fused path (see docs/EXTENDING.md §9).
+// executed op kind (see docs/EXTENDING.md §9).
 var covInterpOp = coverage.NewKeyed("interp/op")
 
 // Kernel evaluates one non-terminator operation: reading operands from
@@ -76,11 +75,6 @@ type Dialect struct {
 	Name        string
 	Kernels     map[string]Kernel
 	Terminators map[string]TerminatorKernel
-	// Fusable declares, per op, that the kernel is equivalent to one of
-	// the fused evaluation shapes (see fuse.go). Fusion is dialect
-	// knowledge registered alongside the kernel — the compiled engine
-	// fuses only ops whose owning dialect vouched for them.
-	Fusable map[string]FuseSpec
 }
 
 // NewDialect creates an empty dialect semantics bundle.
@@ -89,7 +83,6 @@ func NewDialect(name string) *Dialect {
 		Name:        name,
 		Kernels:     make(map[string]Kernel),
 		Terminators: make(map[string]TerminatorKernel),
-		Fusable:     make(map[string]FuseSpec),
 	}
 }
 
@@ -98,11 +91,6 @@ func (d *Dialect) Register(op string, k Kernel) { d.Kernels[op] = k }
 
 // RegisterTerminator adds a terminator kernel.
 func (d *Dialect) RegisterTerminator(op string, k TerminatorKernel) { d.Terminators[op] = k }
-
-// RegisterFusable declares the op's kernel fusable under the given
-// spec. The op must also have a kernel registered — fusion refines
-// dispatch, it does not replace semantics.
-func (d *Dialect) RegisterFusable(op string, spec FuseSpec) { d.Fusable[op] = spec }
 
 // Registry is the composed, immutable kernel table of a dialect
 // combination — the expensive part of building an interpreter. A
@@ -114,7 +102,6 @@ func (d *Dialect) RegisterFusable(op string, spec FuseSpec) { d.Fusable[op] = sp
 type Registry struct {
 	kernels     map[string]Kernel
 	terminators map[string]TerminatorKernel
-	fusable     map[string]FuseSpec
 }
 
 // NewRegistry composes the kernel tables of the given dialects.
@@ -124,7 +111,6 @@ func NewRegistry(dialects ...*Dialect) *Registry {
 	r := &Registry{
 		kernels:     make(map[string]Kernel),
 		terminators: make(map[string]TerminatorKernel),
-		fusable:     make(map[string]FuseSpec),
 	}
 	for _, d := range dialects {
 		for name, k := range d.Kernels {
@@ -138,11 +124,6 @@ func NewRegistry(dialects ...*Dialect) *Registry {
 				panic(fmt.Sprintf("interp: duplicate terminator for %s", name))
 			}
 			r.terminators[name] = k
-		}
-		// Fuse specs cannot collide: the kernel dup check above already
-		// rejects two dialects defining the same op.
-		for name, spec := range d.Fusable {
-			r.fusable[name] = spec
 		}
 	}
 	return r
@@ -187,17 +168,6 @@ type Interpreter struct {
 	// default (256).
 	MaxCallDepth int
 
-	// Compiled selects the compiled execution engine for Run: the
-	// module is compiled (per-op closures, slot-indexed frames; see
-	// compile.go) and executed, instead of tree-walked. Results are
-	// byte-identical either way — the engines differ only in cost.
-	Compiled bool
-
-	// Cache, when non-nil with Compiled set, memoizes compiled
-	// programs across Run calls (the difftest harness runs the same
-	// module once per build configuration).
-	Cache *ProgramCache
-
 	// Ctx, when non-nil, is checked cooperatively during evaluation
 	// (every cancelCheckInterval steps and at every function call);
 	// when it is cancelled or its deadline passes, the run stops with
@@ -211,16 +181,14 @@ type Interpreter struct {
 	Faults *faultinject.Injector
 
 	// Metrics, when non-nil, receives per-run execution counters
-	// (runs, steps, engine choice). Reporting happens once per Run —
+	// (runs, steps). Reporting happens once per Run —
 	// never per operation — so it is off the dispatch hot path; nil
 	// costs one check per Run.
 	Metrics *Metrics
 
 	// Coverage, when non-nil, receives one semantic-coverage hit per
-	// executed operation, keyed by op name (interp/op/<name>). Both
-	// engines and every fused path report through the same family, so
-	// counts are engine-independent. Observation-only; nil costs one
-	// check per dispatched op.
+	// executed operation, keyed by op name (interp/op/<name>).
+	// Observation-only; nil costs one check per dispatched op.
 	Coverage *coverage.Map
 }
 
@@ -281,31 +249,14 @@ func IsTrap(err error) bool {
 // Run interprets the module, calling the entry function (no arguments).
 // All top-level functions are added to the function table first (the
 // paper's AddFunc effect); the entry function's region is then executed
-// in an isolated scope. With Compiled set, the module is compiled
-// (through Cache, if one is attached) and executed by the compiled
-// engine instead — same Result, either way. The engine tiers: a module
-// that cannot repay its compilation (straight-line code, where every op
-// executes at most once) is tree-walked even with Compiled set, because
-// walking an op costs less than compiling it. Callers that want
-// unconditional compilation (benchmarks, the engine-agreement oracle)
-// use Compile and RunProgram directly.
+// in an isolated scope.
 func (in *Interpreter) Run(m *ir.Module, entry string) (*Result, error) {
 	return in.RunArgs(m, entry, nil)
 }
 
 // RunArgs is Run with entry-function arguments — the batched-campaign
 // entry point, where one module runs many times under different inputs.
-// Tiering is identical to Run.
 func (in *Interpreter) RunArgs(m *ir.Module, entry string, args []rtval.Value) (*Result, error) {
-	if in.Compiled && compilationPays(m) {
-		var p *CompiledProgram
-		if in.Cache != nil {
-			p = in.Cache.Get(in.registry, m)
-		} else {
-			p = Compile(in.registry, m)
-		}
-		return in.RunProgramArgs(p, entry, args)
-	}
 	ctx := NewContext(in)
 	for _, op := range m.Body().Ops {
 		switch op.Name {
@@ -322,7 +273,7 @@ func (in *Interpreter) RunArgs(m *ir.Module, entry string, args []rtval.Value) (
 	if err != nil {
 		return nil, err
 	}
-	in.Metrics.noteRun(stepsBefore-ctx.stepsLeft, 0, false)
+	in.Metrics.noteRun(stepsBefore - ctx.stepsLeft)
 	return &Result{Output: ctx.Output(), Returned: vals}, nil
 }
 
@@ -353,31 +304,11 @@ type Context struct {
 	faults          *faultinject.Injector
 	cover           *coverage.Map
 
-	// Compiled-mode state (see compile.go / exec.go). prog non-nil
-	// means this context executes a CompiledProgram: Get/Define resolve
-	// through frame slots, RunRegion/CallFunc run compiled bodies.
-	prog        *CompiledProgram
-	fn          *compiledFunc
-	frame       []rtval.Value
-	cur         *compiledOp
-	regionStack []*compiledRegion
-	isoFloor    int
-	branchArgs  []rtval.Value
-	spill       map[string]rtval.Value
-
-	// Fused-execution state (see fuse.go): the register file holding
-	// unboxed intermediates, the unboxed block-argument transfer
-	// buffer, and the count of steps that ran fused this evaluation
-	// (reported once per run through Metrics).
-	regs       []rtval.Int
-	argScratch []rtval.Int
-	fusedSteps int
-
-	// Per-depth reusable ExitYield records (YieldExit) and the tree
-	// walker's branch-argument scratch — both exist to keep region
-	// loops allocation-free.
-	yieldScratch   []*Exit
-	treeBranchArgs []rtval.Value
+	// Per-depth reusable ExitYield records (YieldExit) and the
+	// branch-argument scratch — both exist to keep region loops
+	// allocation-free.
+	yieldScratch []*Exit
+	branchArgs   []rtval.Value
 }
 
 // NewContext builds a fresh evaluation context for the interpreter.
@@ -408,12 +339,10 @@ func (ctx *Context) initLimits(in *Interpreter) {
 	ctx.cancelCheckLeft = 1 // check on the first step: expired budgets fail fast
 	ctx.faults = in.Faults
 	ctx.cover = in.Coverage
-	ctx.fusedSteps = 0
 }
 
-// coverOp records one executed-op coverage hit when coverage is on.
-// Both engines call it at the same point — after the step charge, at
-// the start of the op's dispatch — so counts are engine-independent.
+// coverOp records one executed-op coverage hit when coverage is on,
+// after the step charge, at the start of the op's dispatch.
 func (ctx *Context) coverOp(name string) {
 	if ctx.cover != nil {
 		ctx.cover.Hit(covInterpOp.Site(name))
@@ -461,9 +390,6 @@ func (ctx *Context) PrintRaw(s string) {
 // with the operand's claimed type (dynamic dims in the claimed type
 // match any concrete extent).
 func (ctx *Context) Get(v ir.Value) (rtval.Value, error) {
-	if ctx.prog != nil {
-		return ctx.getCompiled(v)
-	}
 	val, ok := ctx.env.Lookup(v.ID)
 	if !ok {
 		return nil, fmt.Errorf("interp: use of undefined value %%%s", v.ID)
@@ -519,9 +445,6 @@ func (ctx *Context) GetMemRef(v ir.Value) (rtval.MemRef, error) {
 // static SSA uniqueness is the verifier's job, and lowered loop code
 // legitimately re-executes defining operations on back edges.
 func (ctx *Context) Define(v ir.Value, val rtval.Value) error {
-	if ctx.prog != nil {
-		return ctx.defineCompiled(v, val)
-	}
 	if !typeCompatible(v.Type, val.Type()) {
 		return fmt.Errorf("interp: defining %%%s: runtime type %s does not satisfy declared type %s",
 			v.ID, val.Type(), v.Type)
@@ -553,9 +476,6 @@ func (ctx *Context) Func(name string) (*ir.Operation, bool) {
 // CallFunc effect): the function body runs in an IsolatedFromAbove
 // scope and must leave via ExitReturn.
 func (ctx *Context) CallFunc(name string, args []rtval.Value) ([]rtval.Value, error) {
-	if ctx.prog != nil {
-		return ctx.callCompiled(name, args)
-	}
 	if ctx.faults != nil {
 		if err := ctx.faults.Point(faultinject.SiteInterpRegistry); err != nil {
 			return nil, err
@@ -597,32 +517,6 @@ func (ctx *Context) CallFunc(name string, args []rtval.Value) ([]rtval.Value, er
 // of the given kind (Standard regions see enclosing bindings;
 // IsolatedFromAbove regions do not).
 func (ctx *Context) RunRegion(r *ir.Region, args []rtval.Value, kind scoped.ScopeType) (*Exit, error) {
-	if ctx.prog != nil {
-		// The region is almost always one of the current op's own (a
-		// loop body on every iteration): a pointer scan over those
-		// beats the program-wide map lookup.
-		var cr *compiledRegion
-		if cur := ctx.cur; cur != nil {
-			for _, c := range cur.regions {
-				if c.region == r {
-					cr = c
-					break
-				}
-			}
-		}
-		if cr == nil {
-			cr = ctx.prog.regions[r]
-		}
-		if cr == nil {
-			return nil, fmt.Errorf("interp: region has no blocks")
-		}
-		// The kernel resumes after this region returns and may read
-		// more of its operands; restore its op as the current one.
-		cur := ctx.cur
-		exit, err := ctx.execRegion(cr, args, kind)
-		ctx.cur = cur
-		return exit, err
-	}
 	block := r.Entry()
 	if block == nil {
 		return nil, fmt.Errorf("interp: region has no blocks")
@@ -664,20 +558,7 @@ func (ctx *Context) RunRegion(r *ir.Region, args []rtval.Value, kind scoped.Scop
 // before that kernel re-runs any region at the same depth, and regions
 // at different depths get distinct records.
 func (ctx *Context) YieldExit(n int) *Exit {
-	d := len(ctx.regionStack)
-	if ctx.prog == nil {
-		d = ctx.env.Depth()
-	}
-	return ctx.yieldExitAt(d, n)
-}
-
-// yieldExit is YieldExit for the fused-CFG machine (always compiled
-// mode).
-func (ctx *Context) yieldExit(n int) *Exit {
-	return ctx.yieldExitAt(len(ctx.regionStack), n)
-}
-
-func (ctx *Context) yieldExitAt(d, n int) *Exit {
+	d := ctx.env.Depth()
 	for len(ctx.yieldScratch) <= d {
 		ctx.yieldScratch = append(ctx.yieldScratch, new(Exit))
 	}
@@ -713,10 +594,10 @@ func (ctx *Context) runBlockOps(block *ir.Block) (exit *Exit, next string, nextA
 				// The scratch is safe to reuse across branches: RunRegion
 				// defines the values into the target block's bindings
 				// before any op can branch again.
-				if cap(ctx.treeBranchArgs) < len(res.Branch.Args) {
-					ctx.treeBranchArgs = make([]rtval.Value, len(res.Branch.Args))
+				if cap(ctx.branchArgs) < len(res.Branch.Args) {
+					ctx.branchArgs = make([]rtval.Value, len(res.Branch.Args))
 				}
-				args := ctx.treeBranchArgs[:len(res.Branch.Args)]
+				args := ctx.branchArgs[:len(res.Branch.Args)]
 				for i, a := range res.Branch.Args {
 					v, err := ctx.Get(a)
 					if err != nil {
@@ -780,9 +661,6 @@ func (ctx *Context) PopScope() { ctx.env.Pop() }
 // Lookup resolves a value ID to its runtime value through the visible
 // scopes.
 func (ctx *Context) Lookup(id string) (rtval.Value, bool) {
-	if ctx.prog != nil {
-		return ctx.lookupCompiled(id)
-	}
 	return ctx.env.Lookup(id)
 }
 

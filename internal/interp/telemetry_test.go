@@ -8,148 +8,58 @@ import (
 	"ratte/internal/telemetry"
 )
 
-// TestProgramCacheStatsDetail pins the PR-3 admission policy as seen
-// through the full-stats accessor: the first two sightings of a module
-// compile directly (misses, no entry), the third misses and inserts,
-// and later sightings hit — with every compile accounted in
-// CompileTime and no evictions.
-func TestProgramCacheStatsDetail(t *testing.T) {
-	m := mustParse(t, straightLineSrc(8))
-	reg := dialects.ExecutorRegistry()
-	c := interp.NewProgramCache(0)
-	for i := 0; i < 5; i++ {
-		if c.Get(reg, m) == nil {
-			t.Fatal("cache returned nil program")
-		}
-	}
-	st := c.StatsDetail()
-	if st.Hits != 2 || st.Misses != 3 || st.Size != 1 || st.Evictions != 0 {
-		t.Errorf("stats = %+v, want hits=2 misses=3 size=1 evictions=0", st)
-	}
-	// Three compiles happened (sightings 1-3); their time is accounted.
-	if st.CompileTime <= 0 {
-		t.Errorf("compile time = %v, want > 0", st.CompileTime)
-	}
-	// StatsDetail and the legacy Stats agree.
-	h, mi, sz := c.Stats()
-	if h != st.Hits || mi != st.Misses || sz != st.Size {
-		t.Errorf("Stats() = %d/%d/%d disagrees with StatsDetail %+v", h, mi, sz, st)
-	}
-}
-
-// TestProgramCacheEvictionsCounted fills a 1-entry cache with two
-// admitted modules and checks the eviction shows up in the stats.
-func TestProgramCacheEvictionsCounted(t *testing.T) {
-	m1 := mustParse(t, straightLineSrc(8))
-	m2 := mustParse(t, straightLineSrc(9))
-	reg := dialects.ExecutorRegistry()
-	c := interp.NewProgramCache(1)
-	for i := 0; i < 3; i++ { // admit and insert m1
-		c.Get(reg, m1)
-	}
-	for i := 0; i < 3; i++ { // admit m2; its insertion evicts m1
-		c.Get(reg, m2)
-	}
-	st := c.StatsDetail()
-	if st.Evictions != 1 || st.Size != 1 {
-		t.Errorf("stats = %+v, want evictions=1 size=1", st)
-	}
-}
-
-// TestRegisterProgramCacheMetrics checks the cache counters surface as
-// labelled gauges whose exported values match StatsDetail.
-func TestRegisterProgramCacheMetrics(t *testing.T) {
-	m := mustParse(t, straightLineSrc(8))
-	dreg := dialects.ExecutorRegistry()
-	c := interp.NewProgramCache(0)
-	for i := 0; i < 4; i++ {
-		c.Get(dreg, m)
-	}
-
-	reg := telemetry.NewRegistry()
-	interp.RegisterProgramCacheMetrics(reg, "test", c)
-	snap := reg.Snapshot()
-	st := c.StatsDetail()
-	want := map[string]int64{
-		`ratte_interp_program_cache_hits{cache="test"}`:      int64(st.Hits),
-		`ratte_interp_program_cache_misses{cache="test"}`:    int64(st.Misses),
-		`ratte_interp_program_cache_evictions{cache="test"}`: int64(st.Evictions),
-		`ratte_interp_program_cache_size{cache="test"}`:      int64(st.Size),
-	}
-	for series, v := range want {
-		got, ok := snap[series]
-		if !ok {
-			t.Errorf("series %s missing from snapshot", series)
-			continue
-		}
-		if got.(int64) != v {
-			t.Errorf("%s = %v, want %d", series, got, v)
-		}
-	}
-	if ct := snap[`ratte_interp_program_cache_compile_ns{cache="test"}`]; ct.(int64) <= 0 {
-		t.Errorf("compile_ns = %v, want > 0", ct)
-	}
-	// Nil registry and nil cache registrations are no-ops.
-	interp.RegisterProgramCacheMetrics(nil, "x", c)
-	interp.RegisterProgramCacheMetrics(reg, "y", nil)
-	if _, ok := reg.Snapshot()[`ratte_interp_program_cache_hits{cache="y"}`]; ok {
-		t.Error("nil cache registered gauges")
-	}
-}
-
-// TestInterpreterMetricsCount checks the per-run counters: a tree-walk
-// run reports Runs and Steps, a compiled run additionally reports
-// CompiledRuns, and values reflect actual work.
+// TestInterpreterMetricsCount checks the per-run counters: every run
+// reports Runs and Steps, values reflect actual work, and the
+// deprecated CompiledRuns field is never registered.
 func TestInterpreterMetricsCount(t *testing.T) {
 	m := mustParse(t, straightLineSrc(8))
 	reg := telemetry.NewRegistry()
 	met := interp.NewMetrics(reg)
 
-	tw := dialects.NewTreeWalkingExecutor()
-	tw.Metrics = met
-	if _, err := tw.Run(m, "main"); err != nil {
+	ex := dialects.NewExecutor()
+	ex.Metrics = met
+	if _, err := ex.Run(m, "main"); err != nil {
 		t.Fatal(err)
 	}
-	if met.Runs.Value() != 1 || met.CompiledRuns.Value() != 0 {
-		t.Fatalf("after tree run: runs=%d compiled=%d, want 1/0",
-			met.Runs.Value(), met.CompiledRuns.Value())
+	if met.Runs.Value() != 1 {
+		t.Fatalf("after one run: runs=%d, want 1", met.Runs.Value())
 	}
 	steps := met.Steps.Value()
 	if steps == 0 {
-		t.Fatal("tree run reported 0 steps")
+		t.Fatal("run reported 0 steps")
 	}
-
-	ce := dialects.NewTreeWalkingExecutor()
-	ce.Metrics = met
-	prog := interp.Compile(dialects.ExecutorRegistry(), m)
-	if _, err := ce.RunProgram(prog, "main"); err != nil {
+	if _, err := ex.Run(m, "main"); err != nil {
 		t.Fatal(err)
 	}
-	if met.Runs.Value() != 2 || met.CompiledRuns.Value() != 1 {
-		t.Fatalf("after compiled run: runs=%d compiled=%d, want 2/1",
-			met.Runs.Value(), met.CompiledRuns.Value())
+	if met.Runs.Value() != 2 || met.Steps.Value() != 2*steps {
+		t.Fatalf("after two runs: runs=%d steps=%d, want 2/%d", met.Runs.Value(), met.Steps.Value(), 2*steps)
 	}
-	if met.Steps.Value() <= steps {
-		t.Fatal("compiled run reported no steps")
+	if met.CompiledRuns != nil {
+		t.Error("CompiledRuns is registered")
+	}
+	snap := reg.Snapshot()
+	for _, series := range []string{"ratte_interp_runs_total", "ratte_interp_steps_total"} {
+		if _, ok := snap[series]; !ok {
+			t.Errorf("series %s missing from snapshot", series)
+		}
 	}
 }
 
 // TestDisabledMetricsAddNoAllocs is the alloc guard: an interpreter
 // with telemetry disabled (nil Metrics) allocates exactly as much per
-// compiled run as one with telemetry enabled — instrument updates are
+// run as one with telemetry enabled — instrument updates are
 // atomic adds, never allocations — so leaving instrumentation in the
 // hot path is free.
 func TestDisabledMetricsAddNoAllocs(t *testing.T) {
 	m := mustParse(t, straightLineSrc(8))
-	prog := interp.Compile(dialects.ExecutorRegistry(), m)
 
-	off := dialects.NewTreeWalkingExecutor()
-	on := dialects.NewTreeWalkingExecutor()
+	off := dialects.NewExecutor()
+	on := dialects.NewExecutor()
 	on.Metrics = interp.NewMetrics(telemetry.NewRegistry())
 
 	run := func(in *interp.Interpreter) func() {
 		return func() {
-			if _, err := in.RunProgram(prog, "main"); err != nil {
+			if _, err := in.Run(m, "main"); err != nil {
 				t.Fatal(err)
 			}
 		}
