@@ -294,10 +294,10 @@ func rejectionReport(cfg *CampaignConfig, mem *famMember, verr error) *Report {
 
 // runFamilyBatched is the shared-work strategy: verify once, compile
 // the pass pipeline once per configuration, and run every member on
-// the lowered modules through RunArgs. Failure replication keeps member verdicts identical
-// to the unbatched strategy: a deterministic panic in a shared stage
-// would hit every member's private run of that stage too, so every
-// live member records the same contained failure.
+// the lowered modules through RunArgs. Failure replication keeps
+// member verdicts identical to the unbatched strategy: a deterministic
+// panic in a shared stage would hit every member's private run of that
+// stage too, so every live member records the same contained failure.
 func runFamilyBatched(ctx context.Context, cfg *CampaignConfig, pm *ir.Module, members []famMember, outs []seedOutcome) {
 	// Verify once.
 	var verr error

@@ -180,10 +180,9 @@ type Interpreter struct {
 	// leave it nil and pay one nil check per dispatched operation.
 	Faults *faultinject.Injector
 
-	// Metrics, when non-nil, receives per-run execution counters
-	// (runs, steps). Reporting happens once per Run —
-	// never per operation — so it is off the dispatch hot path; nil
-	// costs one check per Run.
+	// Metrics, when non-nil, receives per-run execution counters (runs,
+	// steps). Reporting happens once per Run — never per operation — so
+	// it is off the dispatch hot path; nil costs one check per Run.
 	Metrics *Metrics
 
 	// Coverage, when non-nil, receives one semantic-coverage hit per
@@ -318,27 +317,22 @@ func NewContext(in *Interpreter) *Context {
 		env:     scoped.New[rtval.Value](),
 		funcs:   make(map[string]*ir.Operation),
 		buffers: make(map[int64][]rtval.Int),
-	}
-	ctx.initLimits(in)
-	return ctx
-}
 
-// initLimits resolves the interpreter's evaluation limits (applying the
-// zero-means-default rule) once, so step() and CallFunc check plain
-// counters instead of re-deriving the defaults per operation.
-func (ctx *Context) initLimits(in *Interpreter) {
-	ctx.stepsLeft = in.MaxSteps
+		stepsLeft:       in.MaxSteps,
+		maxCallDepth:    in.MaxCallDepth,
+		cancel:          in.Ctx,
+		cancelCheckLeft: 1, // check on the first step: expired budgets fail fast
+		faults:          in.Faults,
+		cover:           in.Coverage,
+	}
+	// Zero limits mean the defaults.
 	if ctx.stepsLeft == 0 {
 		ctx.stepsLeft = 10_000_000
 	}
-	ctx.maxCallDepth = in.MaxCallDepth
 	if ctx.maxCallDepth == 0 {
 		ctx.maxCallDepth = 256
 	}
-	ctx.cancel = in.Ctx
-	ctx.cancelCheckLeft = 1 // check on the first step: expired budgets fail fast
-	ctx.faults = in.Faults
-	ctx.cover = in.Coverage
+	return ctx
 }
 
 // coverOp records one executed-op coverage hit when coverage is on,
