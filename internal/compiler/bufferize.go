@@ -45,13 +45,12 @@ func runBufferize(m *ir.Module, opts *Options) error {
 	for _, f := range funcsOf(m) {
 		nm := newNamer(f)
 		err := forEachBlock(f, func(b *ir.Block) error {
-			var out []*ir.Operation
+			out := make([]*ir.Operation, 0, len(b.Ops))
 			for _, op := range b.Ops {
-				ops, err := bufferizeOp(nm, op, opts)
-				if err != nil {
+				var err error
+				if out, err = bufferizeOp(out, nm, op, opts); err != nil {
 					return err
 				}
-				out = append(out, ops...)
 			}
 			b.Ops = out
 			return nil
@@ -83,7 +82,7 @@ func bufferizeType(t ir.Type) ir.Type {
 	return t
 }
 
-// bufEmitter builds buffer-op sequences.
+// bufEmitter appends buffer-op sequences to ops.
 type bufEmitter struct {
 	nm  *namer
 	ops []*ir.Operation
@@ -122,60 +121,57 @@ func (e *bufEmitter) dimsOf(src ir.Value) []ir.Value {
 	return extents
 }
 
-func bufferizeOp(nm *namer, op *ir.Operation, opts *Options) ([]*ir.Operation, error) {
+// bufferizeOp appends the buffer form of op to out. The pass owns the
+// module it runs on, so a pure rename rewrites op in place.
+func bufferizeOp(out []*ir.Operation, nm *namer, op *ir.Operation, opts *Options) ([]*ir.Operation, error) {
 	// Recurse into regions first (scf.if/scf.for bodies and the linalg/
 	// tensor regions that survive to convert-linalg-to-loops).
 	for _, r := range op.Regions {
 		for _, b := range r.Blocks {
-			var out []*ir.Operation
-			for _, inner := range b.Ops {
-				ops, err := bufferizeOp(nm, inner, opts)
-				if err != nil {
+			inner := make([]*ir.Operation, 0, len(b.Ops))
+			for _, iop := range b.Ops {
+				var err error
+				if inner, err = bufferizeOp(inner, nm, iop, opts); err != nil {
 					return nil, err
 				}
-				out = append(out, ops...)
 			}
-			b.Ops = out
+			b.Ops = inner
 		}
 	}
 
+	e := &bufEmitter{nm: nm, ops: out}
 	switch op.Name {
 	case "arith.constant":
 		dense, ok := op.Attrs.Get("value").(ir.DenseIntAttr)
 		if !ok {
-			return []*ir.Operation{op}, nil
+			return append(out, op), nil
 		}
 		opts.cover(covBufferize, op.Name)
-		return bufferizeDenseConstant(nm, op, dense)
+		return bufferizeDenseConstant(e, op, dense)
 
 	case "tensor.empty":
 		opts.cover(covBufferize, op.Name)
-		e := &bufEmitter{nm: nm}
 		e.alloc(op.Results[0], op.Operands)
 		return e.ops, nil
 
 	case "tensor.extract":
 		opts.cover(covBufferize, op.Name)
-		c := op.Clone()
-		c.Name = "memref.load"
-		return []*ir.Operation{c}, nil
+		op.Name = "memref.load"
+		return append(out, op), nil
 
 	case "tensor.dim":
 		opts.cover(covBufferize, op.Name)
-		c := op.Clone()
-		c.Name = "memref.dim"
-		return []*ir.Operation{c}, nil
+		op.Name = "memref.dim"
+		return append(out, op), nil
 
 	case "tensor.cast":
 		opts.cover(covBufferize, op.Name)
-		c := op.Clone()
-		c.Name = "memref.cast"
-		return []*ir.Operation{c}, nil
+		op.Name = "memref.cast"
+		return append(out, op), nil
 
 	case "tensor.insert":
 		// %res = alloc(like dest); copy(dest, res); store(v, res, idx).
 		opts.cover(covBufferize, op.Name)
-		e := &bufEmitter{nm: nm}
 		dest := op.Operands[1]
 		e.alloc(op.Results[0], e.dimsOf(dest))
 		cp := ir.NewOp("memref.copy")
@@ -190,7 +186,6 @@ func bufferizeOp(nm *namer, op *ir.Operation, opts *Options) ([]*ir.Operation, e
 		// Handled by convert-linalg-to-loops (needs loop construction);
 		// here it becomes an alloc + a generate-into-buffer marker op.
 		opts.cover(covBufferize, op.Name)
-		e := &bufEmitter{nm: nm}
 		e.alloc(op.Results[0], op.Operands)
 		gen := ir.NewOp("ratte.generate_into")
 		gen.Operands = []ir.Value{op.Results[0]}
@@ -200,7 +195,6 @@ func bufferizeOp(nm *namer, op *ir.Operation, opts *Options) ([]*ir.Operation, e
 
 	case "linalg.fill":
 		opts.cover(covBufferize, op.Name)
-		e := &bufEmitter{nm: nm}
 		dest := op.Operands[1]
 		e.alloc(op.Results[0], e.dimsOf(dest))
 		fill := ir.NewOp("linalg.fill")
@@ -217,7 +211,6 @@ func bufferizeOp(nm *namer, op *ir.Operation, opts *Options) ([]*ir.Operation, e
 				nIns = int(a.Value)
 			}
 		}
-		e := &bufEmitter{nm: nm}
 		// One fresh output buffer per result, initialised from the
 		// tensor-form out operand (accumulators need their contents).
 		newOuts := make([]ir.Value, len(op.Results))
@@ -240,20 +233,18 @@ func bufferizeOp(nm *namer, op *ir.Operation, opts *Options) ([]*ir.Operation, e
 		if _, isBuf := op.Operands[0].Type.(ir.MemRefType); isBuf {
 			return nil, fmt.Errorf("vector.print of a tensor cannot be bufferized (print scalars instead)")
 		}
-		return []*ir.Operation{op}, nil
 
 	case "arith.select":
 		if _, isBuf := op.Results[0].Type.(ir.MemRefType); isBuf {
 			return nil, fmt.Errorf("arith.select over tensors is not supported by bufferization")
 		}
-		return []*ir.Operation{op}, nil
 	}
-	return []*ir.Operation{op}, nil
+	return append(out, op), nil
 }
 
 // bufferizeDenseConstant lowers a dense tensor constant to an alloc
 // plus element stores.
-func bufferizeDenseConstant(nm *namer, op *ir.Operation, dense ir.DenseIntAttr) ([]*ir.Operation, error) {
+func bufferizeDenseConstant(e *bufEmitter, op *ir.Operation, dense ir.DenseIntAttr) ([]*ir.Operation, error) {
 	mt, ok := op.Results[0].Type.(ir.MemRefType)
 	if !ok {
 		return nil, fmt.Errorf("dense constant result was not bufferized")
@@ -261,7 +252,6 @@ func bufferizeDenseConstant(nm *namer, op *ir.Operation, dense ir.DenseIntAttr) 
 	if !mt.HasStaticShape() {
 		return nil, fmt.Errorf("dense constant with dynamic shape")
 	}
-	e := &bufEmitter{nm: nm}
 	e.alloc(op.Results[0], nil)
 
 	// Cache index constants and element constants.

@@ -5,25 +5,35 @@ import (
 	"strconv"
 	"strings"
 
+	"ratte/internal/coverage"
 	"ratte/internal/ir"
 )
 
 // namer hands out SSA value IDs that are fresh within one function.
+// Fresh IDs have the form "v<N>", so the namer records only which N are
+// taken: densely by index, with indices of maxDenseName or more (a
+// hand-written %v99999999, say) kept in a small fallback set so that
+// they never size the slice. Fresh counts N upwards and never revisits
+// an index, so the IDs it returns need no marking.
 type namer struct {
-	used map[string]bool
-	n    int
+	taken []bool
+	big   map[int]bool
+	n     int
 }
 
+// maxDenseName bounds the indices the namer tracks densely.
+const maxDenseName = 1 << 14
+
 func newNamer(f *ir.Operation) *namer {
-	nm := &namer{used: make(map[string]bool)}
+	nm := &namer{}
 	f.Walk(func(op *ir.Operation) bool {
 		for _, r := range op.Results {
-			nm.used[r.ID] = true
+			nm.take(r.ID)
 		}
 		for _, reg := range op.Regions {
 			for _, b := range reg.Blocks {
 				for _, a := range b.Args {
-					nm.used[a.ID] = true
+					nm.take(a.ID)
 				}
 			}
 		}
@@ -32,15 +42,44 @@ func newNamer(f *ir.Operation) *namer {
 	return nm
 }
 
+// take marks id as used if it is exactly "v"+strconv.Itoa(N) for some
+// N, the only form Fresh can produce.
+func (nm *namer) take(id string) {
+	// Capping N at 18 digits keeps the parse from overflowing; Fresh
+	// never counts that far.
+	if len(id) < 2 || len(id) > 19 || id[0] != 'v' || (id[1] == '0' && len(id) > 2) {
+		return
+	}
+	n := 0
+	for i := 1; i < len(id); i++ {
+		c := id[i]
+		if c < '0' || c > '9' {
+			return
+		}
+		n = n*10 + int(c-'0')
+	}
+	if n >= maxDenseName {
+		if nm.big == nil {
+			nm.big = make(map[int]bool)
+		}
+		nm.big[n] = true
+		return
+	}
+	if n >= len(nm.taken) {
+		nm.taken = append(nm.taken, make([]bool, n+1-len(nm.taken))...)
+	}
+	nm.taken[n] = true
+}
+
 // Fresh returns an unused SSA id.
 func (nm *namer) Fresh() string {
 	for {
-		id := "v" + strconv.Itoa(nm.n)
+		n := nm.n
 		nm.n++
-		if !nm.used[id] {
-			nm.used[id] = true
-			return id
+		if (n < len(nm.taken) && nm.taken[n]) || nm.big[n] {
+			continue
 		}
+		return "v" + strconv.Itoa(n)
 	}
 }
 
@@ -225,30 +264,65 @@ func opKey(op *ir.Operation) string {
 	return b.String()
 }
 
-// usedIDs collects every value ID used (as operand or successor arg)
-// anywhere below the given ops, including nested regions.
-func usedIDs(ops []*ir.Operation) map[string]int {
+// countUses counts the uses of every value ID (as operand or successor
+// argument) in f, nested regions included, in one walk.
+func countUses(f *ir.Operation) map[string]int {
 	uses := make(map[string]int)
-	var walk func(ops []*ir.Operation)
-	walk = func(ops []*ir.Operation) {
-		for _, op := range ops {
-			for _, o := range op.Operands {
-				uses[o.ID]++
-			}
-			for _, s := range op.Successors {
-				for _, a := range s.Args {
-					uses[a.ID]++
-				}
-			}
-			for _, r := range op.Regions {
-				for _, b := range r.Blocks {
-					walk(b.Ops)
-				}
+	f.Walk(func(op *ir.Operation) bool {
+		for _, o := range op.Operands {
+			uses[o.ID]++
+		}
+		for _, s := range op.Successors {
+			for _, a := range s.Args {
+				uses[a.ID]++
 			}
 		}
-	}
-	walk(ops)
+		return true
+	})
 	return uses
+}
+
+func anyResultUsed(op *ir.Operation, uses map[string]int) bool {
+	for _, r := range op.Results {
+		if uses[r.ID] > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// removeDeadPure deletes the pure operations none of whose results are
+// used from every block of f, nested regions included, hitting site
+// once per removed op, and reports whether it removed any. Uses are
+// counted once; removing an op releases its operands (pure ops have no
+// regions or successors), and sweeps repeat until one removes nothing.
+func removeDeadPure(f *ir.Operation, opts *Options, site *coverage.Keyed) bool {
+	uses := countUses(f)
+	removedAny := false
+	for {
+		removed := false
+		_ = forEachBlock(f, func(b *ir.Block) error {
+			kept := b.Ops[:0]
+			for _, op := range b.Ops {
+				if isPure(op) && !anyResultUsed(op, uses) {
+					opts.cover(site, op.Name)
+					for _, o := range op.Operands {
+						uses[o.ID]--
+					}
+					removed = true
+					continue
+				}
+				kept = append(kept, op)
+			}
+			clear(b.Ops[len(kept):])
+			b.Ops = kept
+			return nil
+		})
+		if !removed {
+			return removedAny
+		}
+		removedAny = true
+	}
 }
 
 // intAttrOf builds the IntegerAttr for a value of the given scalar type.

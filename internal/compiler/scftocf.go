@@ -12,22 +12,12 @@ import (
 // block arguments carrying the induction variable and loop-carried
 // values.
 //
-// The pass repeatedly finds the first remaining scf op in any function
-// block and splits that block around it, until none remain. Innermost
-// regions are lowered first so that region bodies spliced into new
-// blocks are already branch-based.
+// The pass scans the function's blocks in order and splits each block
+// around its first scf op, resuming at the block after the split.
 func runSCFToCF(m *ir.Module, opts *Options) error {
 	for _, f := range funcsOf(m) {
-		nm := newNamer(f)
-		bn := newBlockNamer(f)
-		for {
-			changed, err := lowerOneSCF(f, nm, bn, opts)
-			if err != nil {
-				return err
-			}
-			if !changed {
-				break
-			}
+		if err := lowerSCF(f, newNamer(f), newBlockNamer(f), opts); err != nil {
+			return err
 		}
 		// No scf op may survive in a fully lowered function.
 		var leftover string
@@ -45,26 +35,35 @@ func runSCFToCF(m *ir.Module, opts *Options) error {
 	return nil
 }
 
-// lowerOneSCF finds the first scf.if/scf.for among the function
-// region's top-level block operations and rewrites it. Operations
-// nested inside an scf region surface as top-level block ops once
-// their parent is lowered, so repeating until fixpoint lowers
-// arbitrarily nested structured control flow, outermost first.
-func lowerOneSCF(f *ir.Operation, nm *namer, bn *blockNamer, opts *Options) (bool, error) {
+// lowerSCF rewrites every scf.if/scf.for among the function region's
+// top-level block operations, first to last. Lowering an op ends its
+// block with a branch and splices the new blocks right after it, so the
+// scan resumes at the next block. Operations nested inside an scf
+// region surface as top-level ops of the spliced blocks, so one forward
+// scan lowers arbitrarily nested structured control flow, outermost
+// first.
+func lowerSCF(f *ir.Operation, nm *namer, bn *blockNamer, opts *Options) error {
 	region := f.Regions[0]
-	for bi, b := range region.Blocks {
-		for oi, op := range b.Ops {
+	for bi := 0; bi < len(region.Blocks); bi++ {
+		for oi, op := range region.Blocks[bi].Ops {
+			var err error
 			switch op.Name {
 			case "scf.if":
 				opts.cover(covSCFToCF, op.Name)
-				return true, lowerIf(region, bi, oi, nm, bn)
+				err = lowerIf(region, bi, oi, nm, bn)
 			case "scf.for":
 				opts.cover(covSCFToCF, op.Name)
-				return true, lowerFor(region, bi, oi, nm, bn)
+				err = lowerFor(region, bi, oi, nm, bn)
+			default:
+				continue
 			}
+			if err != nil {
+				return err
+			}
+			break
 		}
 	}
-	return false, nil
+	return nil
 }
 
 // lowerIf splits block bi of region at the scf.if at index oi:

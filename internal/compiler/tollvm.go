@@ -45,13 +45,12 @@ func runArithToLLVM(m *ir.Module, opts *Options) error {
 	for _, f := range funcsOf(m) {
 		nm := newNamer(f)
 		err := forEachBlock(f, func(b *ir.Block) error {
-			var out []*ir.Operation
+			out := make([]*ir.Operation, 0, len(b.Ops))
 			for _, op := range b.Ops {
-				ops, err := convertArithOp(nm, op, opts)
-				if err != nil {
+				var err error
+				if out, err = convertArithOp(out, nm, op, opts); err != nil {
 					return err
 				}
-				out = append(out, ops...)
 			}
 			b.Ops = out
 			return nil
@@ -63,27 +62,28 @@ func runArithToLLVM(m *ir.Module, opts *Options) error {
 	return nil
 }
 
-func convertArithOp(nm *namer, op *ir.Operation, opts *Options) ([]*ir.Operation, error) {
+// convertArithOp appends the llvm form of op to out. The pass owns the
+// module it runs on, so a one-to-one conversion renames op in place.
+func convertArithOp(out []*ir.Operation, nm *namer, op *ir.Operation, opts *Options) ([]*ir.Operation, error) {
 	if target, ok := arithToLLVM[op.Name]; ok {
 		opts.cover(covToLLVM, op.Name)
-		c := op.Clone()
-		c.Name = target
-		c.Attrs.Delete("ratte.canonicalized")
-		return []*ir.Operation{c}, nil
+		op.Name = target
+		op.Attrs.Delete("ratte.canonicalized")
+		return append(out, op), nil
 	}
+	e := &llvmEmitter{nm: nm, ops: out}
 	switch op.Name {
 	case "arith.constant":
 		if _, ok := op.Attrs.Get("value").(ir.IntegerAttr); !ok {
 			return nil, fmt.Errorf("non-scalar constant survived to convert-arith-to-llvm")
 		}
 		opts.cover(covToLLVM, op.Name)
-		c := op.Clone()
-		c.Name = "llvm.mlir.constant"
-		return []*ir.Operation{c}, nil
+		op.Name = "llvm.mlir.constant"
+		return append(out, op), nil
 
 	case "arith.maxsi", "arith.maxui", "arith.minsi", "arith.minui":
 		opts.cover(covToLLVM, op.Name)
-		return convertMinMax(nm, op), nil
+		return convertMinMax(e, op), nil
 
 	case "arith.addui_extended":
 		if opts.Bugs.Enabled(bugs.AdduiExtendedLegalize) && ir.TypeEqual(op.Results[0].Type, ir.I1) {
@@ -93,31 +93,32 @@ func convertArithOp(nm *namer, op *ir.Operation, opts *Options) ([]*ir.Operation
 			return nil, fmt.Errorf("failed to legalize operation 'arith.addui_extended'")
 		}
 		opts.cover(covToLLVM, op.Name)
-		return convertAdduiExtended(nm, op), nil
+		return convertAdduiExtended(e, op), nil
 
 	case "arith.mulsi_extended":
 		opts.cover(covToLLVM, op.Name)
-		return convertMulExtended(nm, op, "llvm.smulh"), nil
+		return convertMulExtended(e, op, "llvm.smulh"), nil
 	case "arith.mului_extended":
 		opts.cover(covToLLVM, op.Name)
-		return convertMulExtended(nm, op, "llvm.umulh"), nil
+		return convertMulExtended(e, op, "llvm.umulh"), nil
 
 	case "arith.ceildivsi":
 		opts.cover(covToLLVM, op.Name)
-		return convertCeilDivSi(nm, op, opts), nil
+		return convertCeilDivSi(e, op, opts), nil
 	case "arith.floordivsi":
 		opts.cover(covToLLVM, op.Name)
-		return convertFloorDivSi(nm, op), nil
+		return convertFloorDivSi(e, op), nil
 	case "arith.ceildivui":
 		opts.cover(covToLLVM, op.Name)
-		return convertCeilDivUi(nm, op), nil
+		return convertCeilDivUi(e, op), nil
 	}
 	if op.Dialect() == "arith" {
 		return nil, fmt.Errorf("no conversion for %s", op.Name)
 	}
-	return []*ir.Operation{op}, nil
+	return append(out, op), nil
 }
 
+// llvmEmitter appends an op expansion to ops.
 type llvmEmitter struct {
 	nm  *namer
 	ops []*ir.Operation
@@ -157,8 +158,7 @@ func (e *llvmEmitter) aliasResult(orig ir.Value, val ir.Value) {
 	e.ops = append(e.ops, op)
 }
 
-func convertMinMax(nm *namer, op *ir.Operation) []*ir.Operation {
-	e := &llvmEmitter{nm: nm}
+func convertMinMax(e *llvmEmitter, op *ir.Operation) []*ir.Operation {
 	var pred rtval.CmpPredicate
 	switch op.Name {
 	case "arith.maxsi":
@@ -179,8 +179,7 @@ func convertMinMax(nm *namer, op *ir.Operation) []*ir.Operation {
 	return e.ops
 }
 
-func convertAdduiExtended(nm *namer, op *ir.Operation) []*ir.Operation {
-	e := &llvmEmitter{nm: nm}
+func convertAdduiExtended(e *llvmEmitter, op *ir.Operation) []*ir.Operation {
 	a, b := op.Operands[0], op.Operands[1]
 	t := op.Results[0].Type
 	sum := e.op1("llvm.add", t, a, b)
@@ -194,8 +193,7 @@ func convertAdduiExtended(nm *namer, op *ir.Operation) []*ir.Operation {
 	return e.ops
 }
 
-func convertMulExtended(nm *namer, op *ir.Operation, highOp string) []*ir.Operation {
-	e := &llvmEmitter{nm: nm}
+func convertMulExtended(e *llvmEmitter, op *ir.Operation, highOp string) []*ir.Operation {
 	a, b := op.Operands[0], op.Operands[1]
 	lo := ir.NewOp("llvm.mul")
 	lo.Operands = []ir.Value{a, b}
@@ -212,8 +210,7 @@ func convertMulExtended(nm *namer, op *ir.Operation, highOp string) []*ir.Operat
 //
 // Correct: the quotient/remainder adjustment.
 // Bug 6 (issue 89382): the positive-operand-only (a + b - 1) / b.
-func convertCeilDivSi(nm *namer, op *ir.Operation, opts *Options) []*ir.Operation {
-	e := &llvmEmitter{nm: nm}
+func convertCeilDivSi(e *llvmEmitter, op *ir.Operation, opts *Options) []*ir.Operation {
 	a, b := op.Operands[0], op.Operands[1]
 	t := op.Results[0].Type
 
@@ -243,8 +240,7 @@ func convertCeilDivSi(nm *namer, op *ir.Operation, opts *Options) []*ir.Operatio
 
 // convertFloorDivSi directly converts arith.floordivsi with the correct
 // quotient/remainder adjustment.
-func convertFloorDivSi(nm *namer, op *ir.Operation) []*ir.Operation {
-	e := &llvmEmitter{nm: nm}
+func convertFloorDivSi(e *llvmEmitter, op *ir.Operation) []*ir.Operation {
 	a, b := op.Operands[0], op.Operands[1]
 	t := op.Results[0].Type
 	zero := e.constant(0, t)
@@ -263,8 +259,7 @@ func convertFloorDivSi(nm *namer, op *ir.Operation) []*ir.Operation {
 }
 
 // convertCeilDivUi directly converts arith.ceildivui.
-func convertCeilDivUi(nm *namer, op *ir.Operation) []*ir.Operation {
-	e := &llvmEmitter{nm: nm}
+func convertCeilDivUi(e *llvmEmitter, op *ir.Operation) []*ir.Operation {
 	a, b := op.Operands[0], op.Operands[1]
 	t := op.Results[0].Type
 	zero := e.constant(0, t)
