@@ -211,8 +211,11 @@ func (t *SpanRecorder) StageStats() []StageStat {
 			Count: agg.count,
 			Total: agg.total,
 			Max:   agg.max,
-			P50:   agg.hist.Quantile(0.50),
-			P99:   agg.hist.Quantile(0.99),
+			// The histogram answers with a power-of-two bucket bound,
+			// which can exceed every observed span; no quantile is
+			// above the maximum.
+			P50: min(agg.hist.Quantile(0.50), agg.max),
+			P99: min(agg.hist.Quantile(0.99), agg.max),
 		}
 		if agg.count > 0 {
 			st.Mean = agg.total / time.Duration(agg.count)

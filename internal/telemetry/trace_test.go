@@ -56,6 +56,19 @@ func TestStageStatsAggregation(t *testing.T) {
 	}
 }
 
+// TestStageStatsQuantilesWithinMax checks that the bucket-bound
+// quantiles are clamped to the largest observed span.
+func TestStageStatsQuantilesWithinMax(t *testing.T) {
+	r := NewSpanRecorder(16)
+	for _, d := range []time.Duration{3 * time.Millisecond, 3500 * time.Microsecond, 3540 * time.Microsecond} {
+		r.Record(1, "generate", d, "ok")
+	}
+	st := r.StageStats()[0]
+	if st.Max != 3540*time.Microsecond || st.P50 > st.P99 || st.P99 > st.Max {
+		t.Fatalf("want p50 <= p99 <= max = 3.54ms, got p50 %v p99 %v max %v", st.P50, st.P99, st.Max)
+	}
+}
+
 func TestSlowestSeedsLeaderboard(t *testing.T) {
 	r := NewSpanRecorder(16)
 	// Seed cost accumulates across stages until SeedDone.
