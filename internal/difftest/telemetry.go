@@ -306,7 +306,18 @@ func (t *CampaignTelemetry) ReportSection() string {
 	}
 	var b strings.Builder
 	b.WriteString(t.Spans.ReportSection(n))
-	ph, pm, ps := compiler.PipelineCacheStats()
-	fmt.Fprintf(&b, "  pipeline cache: %d hits, %d misses, %d pipelines\n", ph, pm, ps)
+	b.WriteString(pipelineCacheLine(compiler.PipelineCacheStats()))
 	return b.String()
+}
+
+// pipelineCacheLine renders the pipeline-cache row of ReportSection.
+// Campaigns resolve passes by name and never consult the cache, so a
+// cache with no lookups is marked as such rather than read as a 0% hit
+// rate.
+func pipelineCacheLine(hits, misses uint64, size int) string {
+	line := fmt.Sprintf("  pipeline cache: %d hits, %d misses, %d pipelines", hits, misses, size)
+	if hits+misses == 0 {
+		line += " (unused by campaigns)"
+	}
+	return line + "\n"
 }
