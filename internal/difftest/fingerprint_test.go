@@ -8,9 +8,12 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"ratte/internal/bugs"
+	"ratte/internal/compiler"
 	"ratte/internal/difftest"
+	"ratte/internal/faultinject"
 )
 
 var updateFingerprint = flag.Bool("update-fingerprint", false,
@@ -26,23 +29,51 @@ var miscompiles = bugs.Only(bugs.IndexCastUIFold, bugs.IndexCastChainFold, bugs.
 
 // reportFingerprintCampaigns are the pinned campaigns: every preset
 // shape the interpreter serves (scalar, linalg, tensor), the classic
-// per-seed loop and both family strategies.
-var reportFingerprintCampaigns = []struct {
+// per-seed loop, both family strategies, plan mode and a fault-injected
+// campaign with retries.
+func reportFingerprintCampaigns(t *testing.T) []struct {
 	name string
 	cfg  difftest.CampaignConfig
-}{
-	{"linalggeneric", difftest.CampaignConfig{Preset: "linalggeneric", Programs: 100, Size: 20, Seed: 1, Bugs: miscompiles}},
-	{"tensor-family4-batched", difftest.CampaignConfig{Preset: "tensor", Programs: 100, Size: 20, Seed: 1, Bugs: miscompiles, FamilySize: 4, Batched: true}},
-	{"tensor-family4-unbatched", difftest.CampaignConfig{Preset: "tensor", Programs: 100, Size: 20, Seed: 1, Bugs: miscompiles, FamilySize: 4}},
-	{"ariths", difftest.CampaignConfig{Preset: "ariths", Programs: 100, Size: 20, Seed: 1, Bugs: miscompiles}},
+} {
+	plans, err := compiler.SamplePlans("ariths", 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planBugs := bugs.Only(bugs.IndexCastUIFold, bugs.IndexCastChainFold, bugs.AdduiExtendedLegalize,
+		bugs.MulsiExtendedI1Fold, bugs.CeilDivSiConvert, bugs.FloorDivSiExpand, bugs.CeilDivSiExpand)
+	faults := &faultinject.Spec{Seed: 3, Rate: 0.002,
+		Kinds: []faultinject.Kind{faultinject.KindError, faultinject.KindPanic, faultinject.KindDelay}}
+	return []struct {
+		name string
+		cfg  difftest.CampaignConfig
+	}{
+		{"linalggeneric", difftest.CampaignConfig{Preset: "linalggeneric", Programs: 100, Size: 20, Seed: 1, Bugs: miscompiles}},
+		{"tensor-family4-batched", difftest.CampaignConfig{Preset: "tensor", Programs: 100, Size: 20, Seed: 1, Bugs: miscompiles, FamilySize: 4, Batched: true}},
+		{"tensor-family4-unbatched", difftest.CampaignConfig{Preset: "tensor", Programs: 100, Size: 20, Seed: 1, Bugs: miscompiles, FamilySize: 4}},
+		{"ariths", difftest.CampaignConfig{Preset: "ariths", Programs: 100, Size: 20, Seed: 1, Bugs: miscompiles}},
+		{"ariths-plans16", difftest.CampaignConfig{Preset: "ariths", Programs: 100, Size: 20, Seed: 1, Bugs: planBugs, Plans: plans}},
+		{"ariths-faults", difftest.CampaignConfig{Preset: "ariths", Programs: 100, Size: 20, Seed: 1,
+			Bugs:   bugs.Only(bugs.IndexCastUIFold, bugs.FloorDivSiExpand),
+			Faults: faults, MaxRetries: 2, RetryBackoff: time.Microsecond}},
+	}
 }
 
 // reportFingerprint hashes a campaign's ReportText, its verdict list
 // (panic stacks cleared, as verdict comparison ignores them) and every
-// detection's expected output.
+// detection's expected output. The campaign runs at one and at four
+// workers; the two digests must agree.
 func reportFingerprint(t *testing.T, cfg difftest.CampaignConfig) string {
 	t.Helper()
-	res, err := difftest.RunCampaign(cfg)
+	serial := campaignDigest(t, cfg, 1)
+	if parallel := campaignDigest(t, cfg, 4); parallel != serial {
+		t.Errorf("digest at 4 workers %s differs from 1 worker %s", parallel, serial)
+	}
+	return serial
+}
+
+func campaignDigest(t *testing.T, cfg difftest.CampaignConfig, workers int) string {
+	t.Helper()
+	res, err := difftest.RunCampaignParallel(cfg, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +104,7 @@ func reportFingerprint(t *testing.T, cfg difftest.CampaignConfig) string {
 // what campaigns report.
 func TestCampaignReportFingerprint(t *testing.T) {
 	var b strings.Builder
-	for _, c := range reportFingerprintCampaigns {
+	for _, c := range reportFingerprintCampaigns(t) {
 		fmt.Fprintf(&b, "%s %s\n", c.name, reportFingerprint(t, c.cfg))
 	}
 	got := b.String()
