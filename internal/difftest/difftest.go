@@ -13,7 +13,6 @@
 package difftest
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -79,29 +78,20 @@ type Report struct {
 // instantiated over the memoized dialect registry. The outcome per
 // configuration is identical to compiling each from scratch.
 func TestModule(m *ir.Module, reference, preset string, bugSet bugs.Set) *Report {
-	return testModuleConfigs(m, reference, preset, bugSet, BuildConfigs)
+	outs := compiler.CompileConfigs(m, preset, bugSet, BuildConfigs)
+	return reportOf(preset, reference, runLowered(outs, nil, nil))
 }
 
-func testModuleConfigs(m *ir.Module, reference, preset string, bugSet bugs.Set, configs []BuildConfig) *Report {
+// reportOf builds the Report of per-configuration results listed in
+// BuildConfigs order.
+func reportOf(preset, reference string, levels []LevelResult) *Report {
 	rep := &Report{
 		Preset:    preset,
 		Reference: reference,
-		Levels:    make(map[BuildConfig]LevelResult, len(configs)),
+		Levels:    make(map[BuildConfig]LevelResult, len(BuildConfigs)),
 	}
-	outs := compiler.CompileConfigs(m, preset, bugSet, configs)
-	for i, bc := range configs {
-		var lr LevelResult
-		if outs[i].Err != nil {
-			lr.CompileErr = outs[i].Err
-		} else {
-			res, err := dialects.NewExecutor().Run(outs[i].Module, "main")
-			if err != nil {
-				lr.RunErr = err
-			} else {
-				lr.Output = res.Output
-			}
-		}
-		rep.Levels[bc] = lr
+	for i, bc := range BuildConfigs {
+		rep.Levels[bc] = levels[i]
 	}
 	return rep
 }
@@ -288,23 +278,9 @@ type CampaignResult struct {
 	planSeen map[string]bool // (program|plan) dedup set behind DistinctDetections
 }
 
-func newCampaignResult() *CampaignResult {
-	return &CampaignResult{ByOracle: make(map[Oracle]int)}
-}
-
-// notePlans stamps the plan-set identity onto the result (no-op
-// outside plan mode). Both engines call it before recording verdicts.
-func (res *CampaignResult) notePlans(cfg *CampaignConfig) {
-	if len(cfg.Plans) == 0 {
-		return
-	}
-	res.Plans = len(cfg.Plans)
-	res.PlanSet = compiler.PlanSetFingerprint(cfg.Plans)
-}
-
 // record folds one verdict (and its detection, if any) into the
-// result, replaying exactly the serial loop's accounting. It reports
-// whether the verdict is a detection (the StopAtFirst trigger).
+// result; the Sequencer is its one caller. It reports whether the
+// verdict is a detection (the StopAtFirst trigger).
 func (res *CampaignResult) record(v Verdict, det *Detection) bool {
 	res.Programs++
 	res.Verdicts = append(res.Verdicts, v)
@@ -338,65 +314,6 @@ func (res *CampaignResult) record(v Verdict, det *Detection) bool {
 		}
 	}
 	return true
-}
-
-// RunCampaign generates Programs programs with Ratte's semantics-guided
-// generator and differentially tests each one.
-func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
-	return RunCampaignCtx(context.Background(), cfg)
-}
-
-// RunCampaignCtx is RunCampaign under a caller context: cancelling ctx
-// (a signal handler, a test deadline) stops the campaign after the
-// in-flight seed and returns the partial result together with
-// ctx.Err(), with every completed verdict already journaled — the
-// partial run is resumable via CampaignConfig.Resumed.
-func RunCampaignCtx(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error) {
-	cfg.Telemetry.begin(cfg.Programs)
-	cfg.Telemetry.attachJournal(cfg.Journal)
-	cfg.Telemetry.attachPlans(cfg.Plans)
-	if familyActive(&cfg) {
-		return runCampaignFamilies(ctx, cfg)
-	}
-	res := newCampaignResult()
-	res.notePlans(&cfg)
-	for i := 0; i < cfg.Programs; i++ {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		seed := cfg.Seed + int64(i)
-		if v, ok := cfg.Resumed[seed]; ok {
-			isDetection := res.record(v, nil)
-			cfg.Telemetry.onVerdict(v)
-			cfg.Coverage.onVerdict(v)
-			if isDetection && cfg.StopAtFirst {
-				return res, nil
-			}
-			continue
-		}
-		out := runSeed(ctx, &cfg, seed)
-		if out.genErr != nil {
-			return nil, fmt.Errorf("difftest: generation failed: %w", out.genErr)
-		}
-		if out.aborted {
-			return res, ctx.Err()
-		}
-		isDetection := res.record(out.verdict, out.detection)
-		cfg.Telemetry.onVerdict(out.verdict)
-		cfg.Coverage.onVerdict(out.verdict)
-		if cfg.Journal != nil {
-			t0 := cfg.Telemetry.stageStart()
-			err := cfg.Journal.Append(out.verdict)
-			cfg.Telemetry.journalDone(t0)
-			if err != nil {
-				return res, fmt.Errorf("difftest: journal: %w", err)
-			}
-		}
-		if isDetection && cfg.StopAtFirst {
-			return res, nil
-		}
-	}
-	return res, nil
 }
 
 // Classification is the Table 4 measurement of one program.

@@ -4,9 +4,9 @@
 // ranges (shards). Because every verdict depends only on (config,
 // seed) — the invariant the per-seed pipeline already guarantees — a
 // worker that runs RunCampaignRange over its shard produces exactly
-// the verdicts the serial engine would have produced at those
-// positions, and a coordinator that splices shard verdict streams back
-// into seed order reproduces the serial campaign byte for byte.
+// the verdicts a single-process run would have produced at those
+// positions, and a coordinator that feeds shard verdict streams to a
+// Sequencer in seed order reproduces that run byte for byte.
 package difftest
 
 import (
@@ -74,23 +74,4 @@ func RunCampaignRange(ctx context.Context, cfg CampaignConfig, first, count, wor
 		return nil, err
 	}
 	return res.Verdicts, nil
-}
-
-// AssembleResult reconstructs a campaign result from its verdicts in
-// seed order, replaying exactly the accounting the engines perform as
-// they sequence verdicts — the merge half of a distributed campaign
-// (and the same reconstruction a journal resume performs seed by
-// seed). ReportText over the assembled result is byte-identical to the
-// single-process run's, because the report depends only on the
-// sequenced verdicts. When cfg.Telemetry is set, each verdict is also
-// folded into its counters.
-func AssembleResult(cfg CampaignConfig, verdicts []Verdict) *CampaignResult {
-	res := newCampaignResult()
-	res.notePlans(&cfg)
-	for _, v := range verdicts {
-		res.record(v, nil)
-		cfg.Telemetry.onVerdict(v)
-		cfg.Coverage.onVerdict(v)
-	}
-	return res
 }

@@ -19,9 +19,22 @@ func rangeCfg(programs int) difftest.CampaignConfig {
 	}
 }
 
+// merge sequences verdicts the way the fleet coordinator splices shard
+// uploads.
+func merge(t *testing.T, cfg difftest.CampaignConfig, verdicts []difftest.Verdict) *difftest.CampaignResult {
+	t.Helper()
+	seq := difftest.NewSequencer(cfg)
+	for _, v := range verdicts {
+		if err := seq.Add(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return seq.Result()
+}
+
 // TestRunCampaignRangeMatchesSerial: the concatenation of shard-ranged
 // runs is verdict-identical to one serial run — the invariant the
-// fleet's merge determinism stands on — and AssembleResult over the
+// fleet's merge determinism stands on — and a Sequencer fed the
 // spliced stream reproduces the serial report byte for byte.
 func TestRunCampaignRangeMatchesSerial(t *testing.T) {
 	cfg := rangeCfg(24)
@@ -42,7 +55,7 @@ func TestRunCampaignRangeMatchesSerial(t *testing.T) {
 		if d := difftest.DiffVerdicts(want.Verdicts, spliced); d != "" {
 			t.Fatalf("workers=%d: spliced ranges differ from serial: %s", workers, d)
 		}
-		res := difftest.AssembleResult(cfg, spliced)
+		res := merge(t, cfg, spliced)
 		if a, b := difftest.ReportText(want), difftest.ReportText(res); a != b {
 			t.Fatalf("workers=%d: assembled report differs from serial:\n--- serial\n%s--- assembled\n%s", workers, a, b)
 		}
@@ -90,7 +103,7 @@ func TestRunCampaignRangePlansAndFamilies(t *testing.T) {
 			if d := difftest.DiffVerdicts(want.Verdicts, spliced); d != "" {
 				t.Fatalf("spliced ranges differ from serial: %s", d)
 			}
-			if a, b := difftest.ReportText(want), difftest.ReportText(difftest.AssembleResult(tc.cfg, spliced)); a != b {
+			if a, b := difftest.ReportText(want), difftest.ReportText(merge(t, tc.cfg, spliced)); a != b {
 				t.Fatalf("assembled report differs from serial:\n--- serial\n%s--- assembled\n%s", a, b)
 			}
 		})

@@ -163,8 +163,8 @@ func (t *CampaignTelemetry) onFault(f faultinject.Fault) {
 }
 
 // onVerdict folds one sequenced verdict into the counters and
-// finalizes the seed's span total. Both engines call it exactly where
-// they record the verdict, so counts match the final report.
+// finalizes the seed's span total. The Sequencer calls it exactly where
+// it records the verdict, so counts match the final report.
 func (t *CampaignTelemetry) onVerdict(v Verdict) {
 	if t == nil {
 		return

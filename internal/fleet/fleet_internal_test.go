@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -303,6 +304,45 @@ func TestDrainWritesResumableJournal(t *testing.T) {
 	}
 	if a, b := difftest.ReportText(fresh), difftest.ReportText(res); a != b {
 		t.Fatalf("resumed fleet report differs from fresh:\n--- fresh\n%s--- resumed\n%s", a, b)
+	}
+}
+
+// TestJournalFailureStopsMerge: a journal append that fails stops the
+// merge at the failed verdict, as in a single-process campaign, and
+// Wait returns the failure with that partial result.
+func TestJournalFailureStopsMerge(t *testing.T) {
+	cfg := testCampaign(12)
+	j, err := difftest.CreateJournal(filepath.Join(t.TempDir(), "closed.jsonl"), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Journal = j
+	c, err := NewCoordinator(CoordinatorConfig{Campaign: cfg, ShardSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := register(t, c)
+	for i := 0; i < 2; i++ {
+		l := lease(t, c, w)
+		if l.Shard == nil {
+			t.Fatalf("lease %d: no shard", i)
+		}
+		if resp, code := uploadShard(t, c, w, *l.Shard); code != 200 || !resp.Accepted || resp.Done {
+			t.Fatalf("upload %d: code %d resp %+v", i, code, resp)
+		}
+	}
+	if c.Merged() != 1 {
+		t.Fatalf("merged %d seeds, want only the verdict whose append failed", c.Merged())
+	}
+	res, err := c.Wait(context.Background())
+	if err == nil || !strings.HasPrefix(err.Error(), "fleet: journal:") {
+		t.Fatalf("Wait err = %v, want a fleet: journal: error", err)
+	}
+	if len(res.Verdicts) != 1 || res.Programs != 1 {
+		t.Fatalf("partial result has %d verdicts, %d programs; want 1", len(res.Verdicts), res.Programs)
 	}
 }
 

@@ -64,11 +64,11 @@ func (c *Coordinator) status() Status {
 	st := Status{
 		Campaign:      campaignID([]byte(c.fingerprint)),
 		Programs:      c.camp.Programs,
-		Merged:        len(c.merged),
+		Merged:        c.seq.Len(),
 		UptimeSeconds: now.Sub(c.start).Seconds(),
 	}
 	if st.UptimeSeconds > 0 {
-		st.RatePerSec = float64(len(c.merged)) / st.UptimeSeconds
+		st.RatePerSec = float64(st.Merged) / st.UptimeSeconds
 	}
 	for _, s := range c.shards {
 		switch s.state {
@@ -97,9 +97,9 @@ func (c *Coordinator) status() Status {
 		st.Workers = append(st.Workers, ws)
 	}
 	sort.Slice(st.Workers, func(i, j int) bool { return st.Workers[i].ID < st.Workers[j].ID })
-	if c.cov != nil {
-		st.CoverageSites = c.cov.Sites()
-		st.CoverageHits = c.cov.Total()
+	if cov := c.camp.Coverage; cov != nil {
+		st.CoverageSites = cov.Sites()
+		st.CoverageHits = cov.Total()
 		st.Curve = append([]CoveragePoint(nil), c.covCurve...)
 	}
 	return st

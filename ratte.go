@@ -39,8 +39,8 @@ import (
 	"ratte/internal/conformance"
 	"ratte/internal/dialects"
 	"ratte/internal/difftest"
-	"ratte/internal/fleet"
 	"ratte/internal/faultinject"
+	"ratte/internal/fleet"
 	"ratte/internal/gen"
 	"ratte/internal/interp"
 	"ratte/internal/ir"
