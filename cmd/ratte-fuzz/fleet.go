@@ -47,25 +47,9 @@ func fleetServe(o adhocOptions) {
 		cfg.Coverage = difftest.NewCampaignCoverage(nil)
 	}
 
-	var journal *difftest.Journal
-	if o.resume && o.journal == "" {
-		fatal(errors.New("-resume needs -journal"))
-	}
-	if o.journal != "" {
-		if o.resume {
-			var resumed map[int64]difftest.Verdict
-			journal, resumed, err = difftest.OpenJournalForResume(o.journal, cfg)
-			if err == nil {
-				cfg.Resumed = resumed
-				fmt.Printf("resuming: %d of %d seeds already verdicted\n", len(resumed), o.programs)
-			}
-		} else {
-			journal, err = difftest.CreateJournal(o.journal, cfg)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Journal = journal
+	journal, err := openJournal(o, &cfg)
+	if err != nil {
+		fatal(err)
 	}
 
 	// The shard ledger rides alongside the journal by default: the pair
